@@ -20,9 +20,10 @@ from conftest import banner, row
 
 np = pytest.importorskip("numpy")
 
-from repro.sim.fleet.debug import build_scalar_system  # noqa: E402
+from repro.cell import CellSpec  # noqa: E402
 from repro.sim.fleet.kernel import _FleetBatch  # noqa: E402
-from repro.sim.fleet.validator import spec_for_cell  # noqa: E402
+
+CELL = CellSpec.pinned("insure:video:sunny")
 
 BATCH_SITES = 1024
 #: Interleaved timing rounds; the gated ratio uses the best of each side.
@@ -38,7 +39,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 def _fleet_batch():
     from repro.sim.fleet import controllers
 
-    base = spec_for_cell("insure", "video", "sunny")
+    base = CELL.to_site()
     specs = [dataclasses.replace(base, seed=base.seed + i)
              for i in range(BATCH_SITES)]
     batch = _FleetBatch(specs)
@@ -61,7 +62,7 @@ def _time_scalar(system, ticks, dt):
 
 def test_fleet_speedup_at_batch_1024():
     batch = _fleet_batch()
-    system = build_scalar_system("insure", "video", "sunny")
+    system = CELL.build()
     dt = batch.dt
 
     # Warm both paths (allocations, noise-block fills, JIT-free but cold

@@ -24,19 +24,16 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.core.system import build_system
-from repro.solar.traces import make_day_trace
+from repro.cell import CellSpec
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
 from repro.workloads import SeismicAnalysis, VideoSurveillance
 
 
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise SystemExit(f"unknown workload {kind!r} (expected video|seismic)")
+def _day_cell(args: argparse.Namespace, controller: str) -> CellSpec:
+    """The cell a ``day``/``compare`` invocation runs (trace-length horizon)."""
+    return CellSpec(controller, args.workload, args.solar, args.mean_w,
+                    args.seed, args.initial_soc, duration_s=None)
 
 
 def _print_summary(summary: RunSummary) -> None:
@@ -54,10 +51,7 @@ def _print_summary(summary: RunSummary) -> None:
 
 
 def _cmd_day(args: argparse.Namespace) -> int:
-    trace = make_day_trace(args.solar, target_mean_w=args.mean_w, seed=args.seed)
-    system = build_system(trace, _make_workload(args.workload),
-                          controller=args.controller, seed=args.seed,
-                          initial_soc=args.initial_soc)
+    system = _day_cell(args, args.controller).build()
     summary = system.run()
     print(f"{args.controller} / {args.workload} / {args.solar} "
           f"({args.mean_w:.0f} W avg, seed {args.seed})")
@@ -82,14 +76,10 @@ def _cmd_day(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    summaries = {}
-    for controller in ("insure", "baseline"):
-        trace = make_day_trace(args.solar, target_mean_w=args.mean_w,
-                               seed=args.seed)
-        system = build_system(trace, _make_workload(args.workload),
-                              controller=controller, seed=args.seed,
-                              initial_soc=args.initial_soc)
-        summaries[controller] = system.run()
+    summaries = {
+        controller: _day_cell(args, controller).build().run()
+        for controller in ("insure", "baseline")
+    }
     for controller, summary in summaries.items():
         print(f"\n[{controller}]")
         _print_summary(summary)
@@ -171,49 +161,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _available_cell_ids() -> list[str]:
-    """Every pinned cell id: matrix cells as controller:workload:weather
-    plus the policy scenario cells as scenario-<name>."""
-    from repro.experiments.scenarios import scenario_names
-    from repro.validate import golden
-
-    ids = [
-        f"{c['controller']}:{c['workload']}:{c['weather']}"
-        for c in golden.matrix_cells()
-    ]
-    ids.extend(golden.scenario_cell_name(name) for name in scenario_names())
-    return ids
-
-
-def _unknown_cell(spec: str) -> SystemExit:
-    listing = "\n  ".join(_available_cell_ids())
-    return SystemExit(f"unknown cell {spec!r}; available cells:\n  {listing}")
-
-
-def _parse_cells(specs):
-    from repro.experiments.scenarios import scenario_names
-    from repro.validate import golden
-
-    if not specs:
+def _parse_cells(cell_ids):
+    """``--cell`` ids as golden-harness cells (None: the full set)."""
+    if not cell_ids:
         return None
     cells = []
-    for spec in specs:
-        if spec.startswith("scenario-"):
-            name = spec[len("scenario-"):]
-            if name not in scenario_names():
-                raise _unknown_cell(spec)
-            cells.append({"scenario": name})
-            continue
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise _unknown_cell(spec)
-        controller, workload, weather = parts
-        if (controller not in golden.CONTROLLERS
-                or workload not in golden.WORKLOADS
-                or weather not in golden.WEATHERS):
-            raise _unknown_cell(spec)
-        cells.append({"controller": controller, "workload": workload,
-                      "weather": weather})
+    for cell_id in cell_ids:
+        try:
+            spec = CellSpec.pinned(cell_id)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
+        cells.append({"scenario": spec.scenario} if spec.scenario else
+                     {"controller": spec.controller, "workload": spec.workload,
+                      "weather": spec.weather})
     return cells
 
 
@@ -380,16 +340,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.experiments.fullsystem import run_single
     from repro.experiments.runner import derive_seed, run_cells
-    from repro.solar.traces import make_day_trace
 
     if args.sites < 1 or args.seeds < 1:
         raise SystemExit("--sites and --seeds must be at least 1")
-    if args.backend == "fleet":
-        from repro.sim.fleet import NUMPY_HINT, numpy_available
-
-        if not numpy_available():
-            print(f"note: {NUMPY_HINT}", file=sys.stderr)
-
     cells = [
         dict(
             controller=args.controller,
@@ -403,8 +356,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         for batch in range(args.seeds)
         for site in range(args.sites)
     ]
-    trace = make_day_trace(args.solar, target_mean_w=args.mean_w,
-                           seed=args.seed)
+    trace = _day_cell(args, args.controller).trace()
     steps = max(1, round(trace.duration_s / trace.dt_seconds))
 
     t0 = time.perf_counter()

@@ -20,37 +20,17 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
-from repro.sim.fleet import FleetUnsupported, require_numpy
+from repro.sim.fleet import FleetUnsupported
 from repro.sim.fleet.kernel import SiteSpec, simulate_fleet
 from repro.telemetry.metrics import RunSummary
 
 
 def _spec_fullsystem(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
     """repro.experiments.fullsystem.run_single."""
-    from repro.solar.traces import make_day_trace
+    from repro.experiments.fullsystem import cell_spec
 
-    controller = cell["controller"]
-    workload = cell["workload_kind"]
-    profile = cell["profile"]
-    solar_mean_w = cell["solar_mean_w"]
-    seed = cell.get("seed", 1)
-    initial_soc = cell.get("initial_soc", 0.55)
-    dt = cell.get("dt", 5.0)
-    trace = make_day_trace(profile, dt_seconds=dt, seed=seed,
-                           target_mean_w=solar_mean_w)
-    spec = SiteSpec(
-        controller=controller,
-        workload=workload,
-        seed=seed,
-        initial_soc=initial_soc,
-        trace_power_w=tuple(trace.power_w),
-        trace_dt_s=dt,
-        dt_s=dt,
-    )
-    key_params = dict(controller=controller, workload=workload,
-                      profile=profile, solar_mean_w=solar_mean_w, seed=seed,
-                      initial_soc=initial_soc, dt=dt)
-    return spec, key_params
+    spec = cell_spec(**cell)
+    return spec.to_site(), spec.key()
 
 
 def _spec_table6(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
@@ -103,35 +83,13 @@ def _spec_provisioning(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
 
 def _spec_scenario(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
     """repro.experiments.scenarios.run_scenario_cell."""
-    from repro.experiments.scenarios import get_scenario, scenario_seed
-    from repro.solar.traces import make_day_trace
+    from repro.experiments.scenarios import cell_spec
 
-    scenario = cell["scenario"]
     try:
-        spec = get_scenario(scenario)
+        spec = cell_spec(**cell)
     except ValueError as exc:
         raise FleetUnsupported(str(exc)) from None
-    seed = cell.get("seed")
-    if seed is None:
-        seed = scenario_seed(scenario)
-    initial_soc = cell.get("initial_soc", 0.55)
-    dt = cell.get("dt", 5.0)
-    target_mean_w = cell.get("target_mean_w", 800.0)
-    trace = make_day_trace(spec.weather, dt_seconds=dt, seed=seed,
-                           target_mean_w=target_mean_w)
-    site = SiteSpec(
-        controller=spec.controller,
-        workload=spec.workload,
-        seed=seed,
-        initial_soc=initial_soc,
-        trace_power_w=tuple(trace.power_w),
-        trace_dt_s=dt,
-        dt_s=dt,
-        scenario=scenario,
-    )
-    key_params = dict(scenario=scenario, seed=seed, initial_soc=initial_soc,
-                      dt=dt, target_mean_w=target_mean_w)
-    return site, key_params
+    return spec.to_site(), spec.key()
 
 
 #: Dotted cell-function name -> (cache namespace, spec builder).
@@ -163,11 +121,9 @@ def run_cells_fleet(
     """Run every cell through the fleet kernel; results in input order.
 
     Raises :class:`FleetUnsupported` when the cell function has no
-    adapter or any cell cannot be expressed as a :class:`SiteSpec`, and
-    ``ImportError`` when numpy is unavailable — the runner treats both as
-    routing signals back to the pool/serial path.
+    adapter or any cell cannot be expressed as a :class:`SiteSpec` — the
+    runner treats it as a routing signal back to the pool/serial path.
     """
-    require_numpy()
     name = _fn_name(fn)
     if name not in _ADAPTERS:
         raise FleetUnsupported(f"no fleet adapter for cell function {name}")
@@ -186,11 +142,12 @@ def run_cells_fleet(
     pending: list[int] = []
     cache = default_cache()
     for index, cell in enumerate(cells):
+        params = {k: v for k, v in cell.items() if k != "use_cache"}
         try:
-            spec, key_params = builder(cell)
-        except KeyError as exc:
+            spec, key_params = builder(params)
+        except (KeyError, TypeError) as exc:
             raise FleetUnsupported(
-                f"cell #{index} missing parameter {exc} for {name}"
+                f"cell #{index} does not fit {name}: {exc}"
             ) from exc
         use_cache = bool(cell.get("use_cache", True)) and cache.enabled
         key = cache_key(namespace, **key_params) if use_cache else None

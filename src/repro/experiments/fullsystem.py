@@ -16,18 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.system import build_system
+from repro.cell import CellSpec, run_cell
 from repro.experiments.runner import run_cells
-from repro.sim.cache import (
-    cache_key,
-    default_cache,
-    summary_from_payload,
-    summary_to_payload,
-)
-from repro.solar.traces import make_day_trace
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
 
 #: Figures 20-21 solar operating points.
 HIGH_MEAN_W = 1000.0
@@ -48,12 +40,19 @@ class ComparisonResult:
         return all_improvements(self.insure, self.baseline)
 
 
-def _make_workload(kind: str):
-    if kind == "seismic":
-        return SeismicAnalysis()
-    if kind == "video":
-        return VideoSurveillance()
-    raise ValueError(f"unknown workload kind {kind!r}")
+def cell_spec(
+    controller: str,
+    workload_kind: str,
+    profile: str,
+    solar_mean_w: float,
+    seed: int = 1,
+    initial_soc: float = 0.55,
+    dt: float = 5.0,
+) -> CellSpec:
+    """The cell one :func:`run_single` call runs; the horizon is the
+    trace length."""
+    return CellSpec(controller, workload_kind, profile, solar_mean_w, seed,
+                    initial_soc, dt, duration_s=None)
 
 
 def run_single(
@@ -71,37 +70,9 @@ def run_single(
     This is the unit of work the parallel runner distributes: module-level
     (picklable), fully parameterised, and returning only the summary.
     """
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "fullsystem.run_single",
-            controller=controller,
-            workload=workload_kind,
-            profile=profile,
-            solar_mean_w=solar_mean_w,
-            seed=seed,
-            initial_soc=initial_soc,
-            dt=dt,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
-    trace = make_day_trace(profile, dt_seconds=dt, seed=seed,
-                           target_mean_w=solar_mean_w)
-    system = build_system(
-        trace,
-        _make_workload(workload_kind),
-        controller=controller,
-        seed=seed,
-        initial_soc=initial_soc,
-        dt=dt,
-    )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    spec = cell_spec(controller, workload_kind, profile, solar_mean_w, seed,
+                     initial_soc, dt)
+    return run_cell(spec, "fullsystem.run_single", use_cache)
 
 
 def _profile_for(solar_mean_w: float) -> str:

@@ -187,7 +187,7 @@ def _try_fleet_backend(
     except Exception as exc:
         from repro.sim.fleet import FleetUnsupported
 
-        if not isinstance(exc, (FleetUnsupported, ImportError)):
+        if not isinstance(exc, FleetUnsupported):
             raise
         registry.counter(
             "runner.fleet_fallbacks_total",
@@ -235,8 +235,7 @@ def run_cells(
         defaults to ``auto`` (pool with serial fallback).  ``fleet``
         batches every cell through the vectorized SoA kernel when the
         cell function has a registered adapter, and degrades to the
-        pool/serial path when numpy is missing or any cell is
-        unsupported.  ``serial`` forces the in-process loop.
+        pool/serial path when any cell is unsupported.  ``serial`` forces the in-process loop.
     """
     cells = list(cells)
     if not cells:

@@ -25,29 +25,21 @@ adapter in :mod:`repro.experiments.adapters`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.cell import (
+    BASE_SEED,
+    DT_SECONDS,
+    INITIAL_SOC,
+    TARGET_MEAN_W,
+    CellSpec,
+    PolicyDef,
+    run_cell,
+    scenario_cell_name,
+)
 from repro.experiments.runner import derive_seed
 from repro.policy.policy import Policy
-from repro.policy.registry import make_control, make_governor, make_signal
 from repro.telemetry.metrics import RunSummary
-
-#: Scenario cells share the golden matrix's run configuration.
-BASE_SEED = 1
-TARGET_MEAN_W = 800.0
-INITIAL_SOC = 0.55
-DT_SECONDS = 5.0
-
-
-@dataclass(frozen=True)
-class PolicyDef:
-    """One policy of a scenario, as registry names + a governor rule."""
-
-    name: str
-    signal: str
-    governor: str
-    control: str
-    interval_s: float = 300.0
 
 
 @dataclass(frozen=True)
@@ -151,20 +143,24 @@ def scenario_seed(name: str) -> int:
     return derive_seed(BASE_SEED, "scenario", name)
 
 
-def build_policy(pdef: PolicyDef, seed: int) -> Policy:
-    """Instantiate one policy definition for a concrete site seed."""
-    return Policy(
-        name=pdef.name,
-        signal=make_signal(pdef.signal, seed=seed),
-        governor=make_governor(pdef.governor),
-        control=make_control(pdef.control),
-        interval_s=pdef.interval_s,
-    )
-
-
 def build_policies(name: str, seed: int) -> list[Policy]:
     """Instantiate every policy of scenario ``name`` for ``seed``."""
-    return [build_policy(pdef, seed) for pdef in get_scenario(name).policies]
+    return [pdef.build_policy(seed) for pdef in get_scenario(name).policies]
+
+
+def cell_spec(
+    scenario: str,
+    seed: int | None = None,
+    initial_soc: float = INITIAL_SOC,
+    dt: float = DT_SECONDS,
+    target_mean_w: float = TARGET_MEAN_W,
+) -> CellSpec:
+    """The cell one :func:`run_scenario_cell` call runs; the horizon is
+    the trace length."""
+    spec = CellSpec.pinned(scenario_cell_name(scenario))
+    return replace(spec, seed=spec.seed if seed is None else seed,
+                   initial_soc=initial_soc, dt=dt, mean_w=target_mean_w,
+                   duration_s=None)
 
 
 def run_scenario_cell(
@@ -181,46 +177,5 @@ def run_scenario_cell(
     across processes; the fleet backend routes it through its own adapter
     (``fleet.scenarios.cell`` cache namespace).
     """
-    from repro.core.system import build_system
-    from repro.sim.cache import (
-        cache_key,
-        default_cache,
-        summary_from_payload,
-        summary_to_payload,
-    )
-    from repro.solar.traces import make_day_trace
-    from repro.validate.golden import _make_workload
-
-    spec = get_scenario(scenario)
-    if seed is None:
-        seed = scenario_seed(scenario)
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "scenarios.run_scenario_cell",
-            scenario=scenario,
-            seed=seed,
-            initial_soc=initial_soc,
-            dt=dt,
-            target_mean_w=target_mean_w,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
-    trace = make_day_trace(spec.weather, dt_seconds=dt, seed=seed,
-                           target_mean_w=target_mean_w)
-    system = build_system(
-        trace,
-        _make_workload(spec.workload),
-        controller=spec.controller,
-        seed=seed,
-        initial_soc=initial_soc,
-        dt=dt,
-        policies=build_policies(scenario, seed),
-    )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    spec = cell_spec(scenario, seed, initial_soc, dt, target_mean_w)
+    return run_cell(spec, "scenarios.run_scenario_cell", use_cache)

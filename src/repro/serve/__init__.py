@@ -30,8 +30,8 @@ SSE event types.
 from repro.serve.client import ServeClient, SSEvent
 from repro.serve.daemon import ServeDaemon
 from repro.serve.manager import SessionManager
+from repro.cell import PolicyDef
 from repro.serve.manifest import (
-    PolicySpec,
     SessionManifest,
     parse_manifest,
     render_manifest,
@@ -41,7 +41,7 @@ from repro.serve.sse import EventBuffer, SSEParser, encode_event
 
 __all__ = [
     "EventBuffer",
-    "PolicySpec",
+    "PolicyDef",
     "SSEParser",
     "SSEvent",
     "ServeClient",

@@ -220,7 +220,7 @@ class ServeDaemon:
             writer.write(_text_response(200, self.manager.registry.to_prometheus()))
             return
         if path == "/v1/cells" and method == "GET":
-            from repro.validate.golden import available_cell_ids
+            from repro.cell import available_cell_ids
 
             writer.write(_json_response(200, {"cells": available_cell_ids()}))
             return

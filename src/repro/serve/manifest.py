@@ -32,22 +32,18 @@ tested in ``tests/serve/test_manifest.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from collections.abc import Mapping
 from typing import Any
 
-from repro.validate.golden import (
-    BASE_SEED,
-    DT_SECONDS,
+from repro.cell import (
+    CONTROLLERS,
     DURATION_S,
-    INITIAL_SOC,
-    TARGET_MEAN_W,
-    available_cell_ids,
+    WEATHERS,
+    WORKLOADS,
+    CellSpec,
+    PolicyDef,
 )
-
-CONTROLLERS = ("insure", "baseline")
-WORKLOADS = ("video", "seismic")
-WEATHERS = ("sunny", "cloudy", "rainy")
 
 #: Default ticks per cooperative slice — ~10 ms of engine work, so a
 #: few hundred live sessions still turn the event loop over quickly.
@@ -72,55 +68,16 @@ class ManifestError(ValueError):
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """One policy overlay in registry wire format."""
-
-    name: str
-    signal: str
-    governor: str
-    control: str
-    interval_s: float = 300.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "signal": self.signal,
-            "governor": self.governor,
-            "control": self.control,
-            "interval_s": self.interval_s,
-        }
-
-
-@dataclass(frozen=True)
 class SessionManifest:
-    """A fully resolved session configuration."""
+    """A fully resolved session: the cell it runs plus its pacing."""
 
-    controller: str = "insure"
-    workload: str = "seismic"
-    weather: str = "sunny"
-    mean_w: float = TARGET_MEAN_W
-    seed: int = BASE_SEED
-    initial_soc: float = INITIAL_SOC
-    dt: float = DT_SECONDS
-    duration_s: float = DURATION_S
+    spec: CellSpec = CellSpec()
     tick_slice: int = DEFAULT_TICK_SLICE
     trace_stride: int = DEFAULT_TRACE_STRIDE
-    policies: tuple[PolicySpec, ...] = ()
     #: The pinned cell id this manifest was resolved from (None for the
     #: explicit form).  Cell-backed sessions get a golden verdict in
     #: their final ``summary`` event.
     cell: str | None = None
-
-    @property
-    def total_ticks(self) -> int:
-        return max(1, round(self.duration_s / self.dt))
-
-
-def _unknown_cell(cell_id: str) -> ManifestError:
-    listing = "\n  ".join(available_cell_ids())
-    return ManifestError(
-        f"unknown cell {cell_id!r}; available cells:\n  {listing}"
-    )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -142,7 +99,23 @@ def _integer(payload: Mapping[str, Any], key: str, default: int) -> int:
     return int(value)
 
 
-def parse_policy(payload: Mapping[str, Any]) -> PolicySpec:
+def _positive(payload: Mapping[str, Any], key: str, default: float) -> float:
+    value = _number(payload, key, default)
+    _require(value > 0, f"{key} must be positive, got {value}")
+    return value
+
+
+def _pacing(payload: Mapping[str, Any]) -> dict[str, int]:
+    """The pacing knobs both manifest forms accept."""
+    pacing: dict[str, int] = {}
+    for key, default in (("tick_slice", DEFAULT_TICK_SLICE),
+                         ("trace_stride", DEFAULT_TRACE_STRIDE)):
+        pacing[key] = _integer(payload, key, default)
+        _require(pacing[key] >= 1, f"{key} must be >= 1, got {pacing[key]}")
+    return pacing
+
+
+def parse_policy(payload: Mapping[str, Any]) -> PolicyDef:
     """Validate one policy entry against the :mod:`repro.policy` registry."""
     from repro.policy.registry import (
         control_names,
@@ -164,68 +137,12 @@ def parse_policy(payload: Mapping[str, Any]) -> PolicySpec:
         make_governor(payload["governor"])
     except ValueError as exc:
         raise ManifestError(f"bad governor spec: {exc}") from None
-    interval_s = _number(payload, "interval_s", 300.0)
-    _require(interval_s > 0, f"interval_s must be positive, got {interval_s}")
-    return PolicySpec(
+    return PolicyDef(
         name=payload["name"],
         signal=payload["signal"],
         governor=payload["governor"],
         control=payload["control"],
-        interval_s=interval_s,
-    )
-
-
-def _parse_cell_form(payload: Mapping[str, Any]) -> SessionManifest:
-    cell_id = payload["cell"]
-    _require(isinstance(cell_id, str), f"cell must be a string, got {cell_id!r}")
-    extras = set(payload) - {"cell"} - _CELL_OVERRIDES
-    _require(
-        not extras,
-        f"cell manifests pin the plant configuration; remove {sorted(extras)} "
-        f"(only {sorted(_CELL_OVERRIDES)} may be overridden)",
-    )
-    if cell_id.startswith("scenario-"):
-        from repro.experiments.scenarios import (
-            SCENARIOS,
-            get_scenario,
-            scenario_seed,
-        )
-
-        name = cell_id[len("scenario-"):]
-        if name not in SCENARIOS:
-            raise _unknown_cell(cell_id)
-        spec = get_scenario(name)
-        controller, workload, weather = spec.controller, spec.workload, spec.weather
-        seed = scenario_seed(name)
-        policies = tuple(
-            PolicySpec(name=p.name, signal=p.signal, governor=p.governor,
-                       control=p.control, interval_s=p.interval_s)
-            for p in spec.policies
-        )
-    else:
-        parts = cell_id.split(":")
-        if len(parts) != 3:
-            raise _unknown_cell(cell_id)
-        controller, workload, weather = parts
-        if (controller not in CONTROLLERS or workload not in WORKLOADS
-                or weather not in WEATHERS):
-            raise _unknown_cell(cell_id)
-        from repro.experiments.runner import derive_seed
-
-        seed = derive_seed(BASE_SEED, controller, workload, weather)
-        policies = ()
-
-    duration_s = _number(payload, "duration_s", DURATION_S)
-    _require(duration_s > 0, f"duration_s must be positive, got {duration_s}")
-    tick_slice = _integer(payload, "tick_slice", DEFAULT_TICK_SLICE)
-    _require(tick_slice >= 1, f"tick_slice must be >= 1, got {tick_slice}")
-    trace_stride = _integer(payload, "trace_stride", DEFAULT_TRACE_STRIDE)
-    _require(trace_stride >= 1, f"trace_stride must be >= 1, got {trace_stride}")
-    return SessionManifest(
-        controller=controller, workload=workload, weather=weather,
-        mean_w=TARGET_MEAN_W, seed=seed, initial_soc=INITIAL_SOC,
-        dt=DT_SECONDS, duration_s=duration_s, tick_slice=tick_slice,
-        trace_stride=trace_stride, policies=policies, cell=cell_id,
+        interval_s=_positive(payload, "interval_s", 300.0),
     )
 
 
@@ -238,53 +155,58 @@ def parse_manifest(payload: Mapping[str, Any]) -> SessionManifest:
     _require(isinstance(payload, Mapping),
              f"manifest must be a JSON object, got {type(payload).__name__}")
     if "cell" in payload:
-        return _parse_cell_form(payload)
+        cell_id = payload["cell"]
+        _require(isinstance(cell_id, str), f"cell must be a string, got {cell_id!r}")
+        extras = set(payload) - {"cell"} - _CELL_OVERRIDES
+        _require(
+            not extras,
+            f"cell manifests pin the plant configuration; remove {sorted(extras)} "
+            f"(only {sorted(_CELL_OVERRIDES)} may be overridden)",
+        )
+        try:
+            spec = CellSpec.pinned(cell_id)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from None
+        spec = replace(spec, duration_s=_positive(payload, "duration_s", DURATION_S))
+        return SessionManifest(spec, **_pacing(payload), cell=cell_id)
 
     unknown = set(payload) - _EXPLICIT_KEYS
     _require(not unknown, f"unknown manifest keys {sorted(unknown)}")
-    controller = payload.get("controller", "insure")
+    default = CellSpec()
+    controller = payload.get("controller", default.controller)
     _require(controller in CONTROLLERS,
              f"controller must be one of {CONTROLLERS}, got {controller!r}")
-    workload = payload.get("workload", "seismic")
+    workload = payload.get("workload", default.workload)
     _require(workload in WORKLOADS,
              f"workload must be one of {WORKLOADS}, got {workload!r}")
-    weather = payload.get("weather", "sunny")
+    weather = payload.get("weather", default.weather)
     _require(weather in WEATHERS,
              f"weather must be one of {WEATHERS}, got {weather!r}")
-
-    mean_w = _number(payload, "mean_w", TARGET_MEAN_W)
-    _require(mean_w > 0, f"mean_w must be positive, got {mean_w}")
-    seed = _integer(payload, "seed", BASE_SEED)
+    seed = _integer(payload, "seed", default.seed)
     _require(seed >= 0, f"seed must be non-negative, got {seed}")
-    initial_soc = _number(payload, "initial_soc", INITIAL_SOC)
+    initial_soc = _number(payload, "initial_soc", default.initial_soc)
     _require(0.0 < initial_soc <= 1.0,
              f"initial_soc must be in (0, 1], got {initial_soc}")
-    dt = _number(payload, "dt", DT_SECONDS)
-    _require(dt > 0, f"dt must be positive, got {dt}")
-    duration_s = _number(payload, "duration_s", DURATION_S)
-    _require(duration_s > 0, f"duration_s must be positive, got {duration_s}")
-    tick_slice = _integer(payload, "tick_slice", DEFAULT_TICK_SLICE)
-    _require(tick_slice >= 1, f"tick_slice must be >= 1, got {tick_slice}")
-    trace_stride = _integer(payload, "trace_stride", DEFAULT_TRACE_STRIDE)
-    _require(trace_stride >= 1, f"trace_stride must be >= 1, got {trace_stride}")
 
     raw_policies = payload.get("policies", [])
     _require(isinstance(raw_policies, (list, tuple)),
              f"policies must be a list, got {raw_policies!r}")
     policies = tuple(parse_policy(p) for p in raw_policies)
     if controller != "insure":
-        for spec in policies:
+        for pdef in policies:
             _require(
-                spec.control not in DVFS_CONTROLS,
-                f"control {spec.control!r} (policy {spec.name!r}) requires "
+                pdef.control not in DVFS_CONTROLS,
+                f"control {pdef.control!r} (policy {pdef.name!r}) requires "
                 f"the insure controller; {controller!r} has no DVFS duty knob",
             )
-    return SessionManifest(
+    spec = CellSpec(
         controller=controller, workload=workload, weather=weather,
-        mean_w=mean_w, seed=seed, initial_soc=initial_soc, dt=dt,
-        duration_s=duration_s, tick_slice=tick_slice,
-        trace_stride=trace_stride, policies=policies, cell=None,
+        mean_w=_positive(payload, "mean_w", default.mean_w), seed=seed,
+        initial_soc=initial_soc, dt=_positive(payload, "dt", default.dt),
+        duration_s=_positive(payload, "duration_s", DURATION_S),
+        policies=policies,
     )
+    return SessionManifest(spec, **_pacing(payload))
 
 
 def render_manifest(manifest: SessionManifest) -> dict[str, Any]:
@@ -293,77 +215,22 @@ def render_manifest(manifest: SessionManifest) -> dict[str, Any]:
     Cell manifests render as their compact cell form (the pinned fields
     are re-derived on parse); explicit manifests render every field.
     """
+    spec = manifest.spec
+    pacing = {"duration_s": spec.duration_s, "tick_slice": manifest.tick_slice,
+              "trace_stride": manifest.trace_stride}
     if manifest.cell is not None:
-        return {
-            "cell": manifest.cell,
-            "duration_s": manifest.duration_s,
-            "tick_slice": manifest.tick_slice,
-            "trace_stride": manifest.trace_stride,
-        }
+        return {"cell": manifest.cell, **pacing}
     return {
-        "controller": manifest.controller,
-        "workload": manifest.workload,
-        "weather": manifest.weather,
-        "mean_w": manifest.mean_w,
-        "seed": manifest.seed,
-        "initial_soc": manifest.initial_soc,
-        "dt": manifest.dt,
-        "duration_s": manifest.duration_s,
-        "tick_slice": manifest.tick_slice,
-        "trace_stride": manifest.trace_stride,
-        "policies": [p.to_dict() for p in manifest.policies],
+        "controller": spec.controller,
+        "workload": spec.workload,
+        "weather": spec.weather,
+        "mean_w": spec.mean_w,
+        "seed": spec.seed,
+        "initial_soc": spec.initial_soc,
+        "dt": spec.dt,
+        **pacing,
+        "policies": [asdict(p) for p in spec.policies],
     }
-
-
-def build_policies(manifest: SessionManifest) -> list:
-    """Instantiate the manifest's policy overlays for its seed."""
-    from repro.policy.policy import Policy
-    from repro.policy.registry import make_control, make_governor, make_signal
-
-    return [
-        Policy(
-            name=spec.name,
-            signal=make_signal(spec.signal, seed=manifest.seed),
-            governor=make_governor(spec.governor),
-            control=make_control(spec.control),
-            interval_s=spec.interval_s,
-        )
-        for spec in manifest.policies
-    ]
-
-
-def build_session_system(manifest: SessionManifest):
-    """Assemble the (system, observability) pair a session runs.
-
-    Observability is attached with the ledger and alert engine on — the
-    streaming payload sources — which is proven read-only, so cell-backed
-    sessions still reproduce their pinned summaries.
-    """
-    from repro.core.system import build_system
-    from repro.obs.hub import Observability
-    from repro.solar.traces import make_day_trace
-    from repro.validate.golden import _make_workload
-
-    trace = make_day_trace(manifest.weather, dt_seconds=manifest.dt,
-                           seed=manifest.seed, target_mean_w=manifest.mean_w)
-    obs = Observability(trace_stride=manifest.trace_stride)
-    system = build_system(
-        trace, _make_workload(manifest.workload),
-        controller=manifest.controller, seed=manifest.seed,
-        initial_soc=manifest.initial_soc, dt=manifest.dt,
-        observability=obs, policies=build_policies(manifest),
-    )
-    return system, obs
-
-
-def golden_record_name(cell_id: str) -> str:
-    """Map a manifest cell id onto its golden record file stem."""
-    if cell_id.startswith("scenario-"):
-        return cell_id
-    controller, workload, weather = cell_id.split(":")
-    from repro.validate.golden import cell_name
-
-    return cell_name(controller, workload, weather)
 
 
 def golden_verdict(manifest: SessionManifest, summary: Mapping[str, Any]):
@@ -373,12 +240,12 @@ def golden_verdict(manifest: SessionManifest, summary: Mapping[str, Any]):
     when the manifest is not cell-backed, the session ran a non-pinned
     horizon, or no record exists on disk.
     """
-    if manifest.cell is None or manifest.duration_s != DURATION_S:
+    if manifest.cell is None or manifest.spec.duration_s != DURATION_S:
         return None
     from repro.sim.fleet.validator import compare_summaries
     from repro.validate.golden import load_record
 
-    name = golden_record_name(manifest.cell)
+    name = manifest.spec.record_name
     try:
         record = load_record(name)
     except FileNotFoundError:

@@ -40,14 +40,25 @@ import json
 from collections.abc import Mapping
 from typing import Any
 
+from repro.obs.hub import Observability
 from repro.obs.stream import StreamTap
 from repro.serve.manifest import (
     SessionManifest,
-    build_session_system,
     golden_verdict,
     render_manifest,
 )
 from repro.serve.sse import EventBuffer
+
+
+def build_session_system(manifest: SessionManifest):
+    """Assemble the (system, observability) pair a session runs.
+
+    Observability is attached with the ledger and alert engine on — the
+    streaming payload sources — which is proven read-only, so cell-backed
+    sessions still reproduce their pinned summaries.
+    """
+    obs = Observability(trace_stride=manifest.trace_stride)
+    return manifest.spec.build(observability=obs), obs
 
 
 class SessionState:
@@ -82,7 +93,7 @@ class Session:
         self.tap = StreamTap(self.obs)
         self.events = EventBuffer(max_events=max_buffered_events)
         self.state = SessionState.CREATED
-        self.total_ticks = self.system.begin_run(manifest.duration_s)
+        self.total_ticks = self.system.begin_run(manifest.spec.duration_s)
         self.ticks_done = 0
         self.injections = 0
         self.summary_payload: dict[str, Any] | None = None
@@ -208,12 +219,10 @@ class Session:
         if control_name in DVFS_CONTROLS and not hasattr(self._manager(), "duty"):
             raise SessionError(
                 f"control {control_name!r} requires the insure controller; "
-                f"this session runs {self.manifest.controller!r}"
+                f"this session runs {self.manifest.spec.controller!r}"
             )
 
     def _inject_policy(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        from repro.policy.policy import Policy
-        from repro.policy.registry import make_control, make_governor, make_signal
         from repro.serve.manifest import ManifestError, parse_policy
 
         try:
@@ -223,13 +232,7 @@ class Session:
         if any(p.name == spec.name for p in self._manager().policies):
             raise SessionError(f"policy {spec.name!r} already attached")
         self._check_control_pairing(spec.control)
-        policy = Policy(
-            name=spec.name,
-            signal=make_signal(spec.signal, seed=self.manifest.seed),
-            governor=make_governor(spec.governor),
-            control=make_control(spec.control),
-            interval_s=spec.interval_s,
-        )
+        policy = spec.build_policy(self.manifest.spec.seed)
         self._record("inject.policy", policy=spec.name, signal=spec.signal,
                      governor=spec.governor, control=spec.control,
                      interval_s=spec.interval_s)

@@ -191,23 +191,12 @@ class Engine:
         stride = self.stop_check_stride
         index = clock.step_index
 
-        if not conditions:
-            # Fast path: fixed tick count, nothing can end the run early.
-            for _ in range(steps):
-                for step_fn in step_fns:
-                    step_fn(clock)
-                for observer in observers:
-                    observer(clock)
-                index += 1
-                clock.step_index = index
-                clock.t = index * dt
-            return steps
-
         # Run stride-sized chunks of ticks, then evaluate stop conditions
-        # once per chunk (after every tick with the default stride of 1).
+        # once per chunk (after every tick with the default stride of 1);
+        # with no stop condition the whole run is one chunk.
         remaining = steps
         while remaining > 0:
-            ticks = min(stride, remaining)
+            ticks = min(stride, remaining) if conditions else remaining
             for _ in range(ticks):
                 for step_fn in step_fns:
                     step_fn(clock)

@@ -17,11 +17,10 @@ EMA) observes the same intermediate state the scalar controller would.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - gated by repro.sim.fleet
-    np = None
+import numpy as np
 
+from repro.core.baseline import BaselineParams
+from repro.core.energy_manager import InsureParams
 from repro.sim.fleet.kernel import (
     _BOOTING,
     _BUS_CHARGE,
@@ -35,37 +34,41 @@ from repro.sim.fleet.kernel import (
     _STANDBY,
 )
 
-# --- InsureParams / TemporalParams / SpatialParams defaults ------------
-TPM_INTERVAL_S = 30.0
-SPM_INTERVAL_S = 300.0
-USABLE_MARGIN = 0.05
-SOC_FLOOR = 0.25            # TemporalParams.soc_floor
-CAP_C_RATE = 0.30
-RELAX_FRACTION = 0.6
-VM_STEP = 2
-DUTY_MIN_DECI = 5           # duty 0.5 in tenths
-MIN_RESTART_VMS = 2
-MIN_ONLINE_UNITS = 1
-SOLAR_MARGIN = 0.9
-UPSCALE_HOLDOFF_S = 600.0
-DOWNSCALE_HOLDOFF_S = 180.0
-BATCH_RECONFIG_HOLDOFF_S = 900.0
-CRASH_BACKOFF_S = 420.0
-LIFETIME_AH = 17500.0
-DESIGN_LIFE_DAYS = 4.0 * 365.0
-CHARGE_TO_SOC = 0.90
-PEAK_CHARGE_POWER_W = 270.0
-MIN_CHARGE_SURPLUS_W = 40.0
-ELASTIC_STEP = 0.25
+# --- Controller defaults, read from the scalar parameter classes -------
+_INSURE = InsureParams()
+_TEMPORAL = _INSURE.temporal
+_SPATIAL = _INSURE.spatial
+_BASELINE = BaselineParams()
 
-# --- BaselineParams defaults -------------------------------------------
-BL_CONTROL_INTERVAL_S = 30.0
-BL_PROTECT_MARGIN_V = 0.15
-BL_SOC_FLOOR = 0.08
-BL_CHARGE_TO_SOC = 0.90
-BL_BANK_POWER_PER_UNIT_W = 420.0
-BL_UPSCALE_HOLDOFF_S = 120.0
-BL_START_MIN_SOC = 0.25
+TPM_INTERVAL_S = _INSURE.tpm_interval_s
+SPM_INTERVAL_S = _INSURE.spm_interval_s
+USABLE_MARGIN = _INSURE.usable_margin
+SOC_FLOOR = _TEMPORAL.soc_floor
+CAP_C_RATE = _TEMPORAL.cap_c_rate
+RELAX_FRACTION = _TEMPORAL.relax_fraction
+VM_STEP = _TEMPORAL.vm_step
+DUTY_MIN_DECI = round(_TEMPORAL.duty_min * 10)  # duty in tenths
+MIN_RESTART_VMS = _INSURE.min_restart_vms
+MIN_ONLINE_UNITS = _INSURE.min_online_units
+SOLAR_MARGIN = _INSURE.solar_margin
+UPSCALE_HOLDOFF_S = _INSURE.upscale_holdoff_s
+DOWNSCALE_HOLDOFF_S = _INSURE.downscale_holdoff_s
+BATCH_RECONFIG_HOLDOFF_S = _INSURE.batch_reconfig_holdoff_s
+CRASH_BACKOFF_S = _INSURE.crash_backoff_s
+LIFETIME_AH = _SPATIAL.lifetime_ah
+DESIGN_LIFE_DAYS = _SPATIAL.design_life_days
+CHARGE_TO_SOC = _SPATIAL.charge_to_soc
+PEAK_CHARGE_POWER_W = _SPATIAL.peak_charge_power_w
+MIN_CHARGE_SURPLUS_W = _SPATIAL.min_charge_surplus_w
+ELASTIC_STEP = _SPATIAL.elastic_step
+
+BL_CONTROL_INTERVAL_S = _BASELINE.control_interval_s
+BL_PROTECT_MARGIN_V = _BASELINE.protect_margin_v
+BL_SOC_FLOOR = _BASELINE.soc_floor
+BL_CHARGE_TO_SOC = _BASELINE.charge_to_soc
+BL_BANK_POWER_PER_UNIT_W = _BASELINE.bank_power_per_unit_w
+BL_UPSCALE_HOLDOFF_S = _BASELINE.upscale_holdoff_s
+BL_START_MIN_SOC = _BASELINE.start_min_soc
 
 
 def start(batch) -> None:

@@ -16,33 +16,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.cell import CellSpec
 from repro.sim.fleet.kernel import _FleetBatch
-from repro.sim.fleet.validator import spec_for_cell
 
 _MODE_NAMES = ("OFFLINE", "CHARGING", "STANDBY", "DISCHARGING")
 _SSTATE_NAMES = ("OFF", "BOOTING", "ON", "SAVING")
-
-
-def build_scalar_system(controller: str, workload: str, weather: str):
-    """Build the scalar reference system exactly as the golden cell does."""
-    from repro.core.system import build_system
-    from repro.experiments.runner import derive_seed
-    from repro.solar.traces import make_day_trace
-    from repro.validate.golden import (
-        BASE_SEED,
-        DT_SECONDS,
-        INITIAL_SOC,
-        TARGET_MEAN_W,
-        _make_workload,
-    )
-
-    seed = derive_seed(BASE_SEED, controller, workload, weather)
-    trace = make_day_trace(weather, dt_seconds=DT_SECONDS, seed=seed,
-                           target_mean_w=TARGET_MEAN_W)
-    return build_system(
-        trace, _make_workload(workload), controller=controller, seed=seed,
-        initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-    )
 
 
 def snapshot_scalar(system) -> dict[str, Any]:
@@ -127,9 +105,9 @@ def run_lockstep(
     """Step both kernels; return (tick, diffs) at first divergence or None."""
     from repro.sim.fleet import controllers
 
-    system = build_scalar_system(controller, workload, weather)
-    spec = spec_for_cell(controller, workload, weather)
-    batch = _FleetBatch([spec])
+    cell = CellSpec.pinned(f"{controller}:{workload}:{weather}")
+    system = cell.build()
+    batch = _FleetBatch([cell.to_site()])
     controllers.start(batch)
 
     dt = batch.dt

@@ -26,10 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in the base install
-    np = None
+import numpy as np
 
 from repro.sim.rng import RandomStreams
 
@@ -143,11 +140,8 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
 
     Sites are grouped into homogeneous lockstep batches; results come back
     in input order.  Raises :class:`FleetUnsupported` if any site cannot
-    be batched and ImportError when numpy is unavailable.
+    be batched.
     """
-    from repro.sim.fleet import require_numpy
-
-    require_numpy()
     for spec in specs:
         _check_supported(spec)
     groups: dict[tuple, list[int]] = {}

@@ -18,18 +18,12 @@ from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.sim.fleet.kernel import SiteSpec, simulate_fleet
+from repro.cell import SCENARIO_PREFIX, CellSpec, available_cell_ids
+from repro.sim.fleet.kernel import simulate_fleet
 from repro.validate.golden import (
-    BASE_SEED,
     DEFAULT_GOLDEN_DIR,
-    DT_SECONDS,
-    DURATION_S,
-    INITIAL_SOC,
     SUMMARY_SIG_DIGITS,
-    TARGET_MEAN_W,
-    cell_name,
     load_record,
-    matrix_cells,
 )
 
 #: Tolerance model shared with the invariant checker: a summary variable
@@ -111,52 +105,6 @@ def compare_summaries(
     return CellVerdict(cell=cell, ok=not mismatches, mismatches=mismatches)
 
 
-def spec_for_cell(
-    controller: str,
-    workload: str,
-    weather: str,
-    *,
-    duration_s: float = DURATION_S,
-    scenario: str | None = None,
-) -> SiteSpec:
-    """Build the SiteSpec matching one golden cell's configuration.
-
-    With ``scenario`` set, the seed derives from the scenario name (the
-    plant axes must already be the scenario's — use
-    :func:`scenario_cell_tuple`) and the kernel applies its policies.
-    """
-    from repro.experiments.runner import derive_seed
-    from repro.solar.traces import make_day_trace
-
-    if scenario is not None:
-        from repro.experiments.scenarios import scenario_seed
-
-        seed = scenario_seed(scenario)
-    else:
-        seed = derive_seed(BASE_SEED, controller, workload, weather)
-    trace = make_day_trace(
-        weather, dt_seconds=DT_SECONDS, seed=seed, target_mean_w=TARGET_MEAN_W
-    )
-    return SiteSpec(
-        controller=controller,
-        workload=workload,
-        seed=seed,
-        initial_soc=INITIAL_SOC,
-        trace_power_w=tuple(trace.power_w),
-        trace_dt_s=DT_SECONDS,
-        duration_s=duration_s,
-        scenario=scenario,
-    )
-
-
-def scenario_cell_tuple(scenario: str) -> tuple[str, str, str, str]:
-    """The 4-tuple cell for a policy scenario (plant axes + scenario name)."""
-    from repro.experiments.scenarios import get_scenario
-
-    spec = get_scenario(scenario)
-    return (spec.controller, spec.workload, spec.weather, scenario)
-
-
 class FleetValidator:
     """Validate the fleet kernel against the stored golden matrix.
 
@@ -168,55 +116,40 @@ class FleetValidator:
     def __init__(self, golden_dir: Path | None = None) -> None:
         self.golden_dir = Path(golden_dir) if golden_dir else DEFAULT_GOLDEN_DIR
 
-    def cells(self) -> list[tuple[str, str, str]]:
-        """The 12 golden-matrix cells (scenario cells are separate — see
+    def cells(self) -> list[str]:
+        """The 12 golden-matrix cell ids (scenario cells are separate — see
         :meth:`scenario_cells` / :meth:`all_cells`)."""
-        return [
-            (cell["controller"], cell["workload"], cell["weather"])
-            for cell in matrix_cells()
-        ]
+        return [c for c in available_cell_ids() if not c.startswith(SCENARIO_PREFIX)]
 
-    def scenario_cells(self) -> list[tuple[str, str, str, str]]:
-        """The policy scenario cells as 4-tuples (axes + scenario name)."""
-        from repro.experiments.scenarios import scenario_names
+    def scenario_cells(self) -> list[str]:
+        """The policy scenario cell ids."""
+        return [c for c in available_cell_ids() if c.startswith(SCENARIO_PREFIX)]
 
-        return [scenario_cell_tuple(name) for name in scenario_names()]
-
-    def all_cells(self) -> list[tuple]:
-        return list(self.cells()) + list(self.scenario_cells())
+    def all_cells(self) -> list[str]:
+        return available_cell_ids()
 
     def validate_cells(
-        self, cells: Sequence[tuple] | None = None
+        self, cells: Sequence[str] | None = None
     ) -> list[CellVerdict]:
-        """Run the fleet kernel over *cells* and compare against goldens.
+        """Run the fleet kernel over the pinned *cells* (ids; default: the
+        matrix plus every scenario) and compare against goldens.
 
-        Cells are ``(controller, workload, weather)`` triples or
-        ``(controller, workload, weather, scenario)`` 4-tuples; the
-        default covers the matrix plus every scenario.  All requested
-        cells run in a single ``simulate_fleet`` batch so the validator
-        also exercises the mixed-group scatter path.
+        All requested cells run in a single ``simulate_fleet`` batch so
+        the validator also exercises the mixed-group scatter path.
         """
-        from repro.validate.golden import scenario_cell_name
-
-        todo = [
-            (cell if len(cell) == 4 else (*cell, None)) for cell in
-            (list(cells) if cells is not None else self.all_cells())
-        ]
-        specs = [
-            spec_for_cell(c, w, x, scenario=sc) for (c, w, x, sc) in todo
-        ]
-        summaries = simulate_fleet(specs)
+        specs = [CellSpec.pinned(c)
+                 for c in (self.all_cells() if cells is None else cells)]
+        summaries = simulate_fleet([spec.to_site() for spec in specs])
         verdicts: list[CellVerdict] = []
-        for (c, w, x, sc), summary in zip(todo, summaries, strict=True):
-            name = scenario_cell_name(sc) if sc else cell_name(c, w, x)
-            record = load_record(name, self.golden_dir)
+        for spec, summary in zip(specs, summaries, strict=True):
+            record = load_record(spec.record_name, self.golden_dir)
             verdicts.append(
-                compare_summaries(name, summary, record["summary"])
+                compare_summaries(spec.record_name, summary, record["summary"])
             )
         return verdicts
 
     def validate(
-        self, cells: Sequence[tuple] | None = None
+        self, cells: Sequence[str] | None = None
     ) -> CellVerdict | None:
         """Return the first failing verdict, or None when every cell matches."""
         for verdict in self.validate_cells(cells):
@@ -225,7 +158,7 @@ class FleetValidator:
         return None
 
     def assert_valid(
-        self, cells: Sequence[tuple] | None = None
+        self, cells: Sequence[str] | None = None
     ) -> None:
         """Raise AssertionError naming every mismatched variable."""
         failures = [v for v in self.validate_cells(cells) if not v.ok]

@@ -23,25 +23,15 @@ from __future__ import annotations
 
 import html as _html
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from repro.core.system import build_system
+from repro.cell import CellSpec, scenario_cell_name
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, SIGNED_EDGES
-from repro.solar.traces import make_day_trace
 from repro.telemetry.metrics import RunSummary
 from repro.telemetry.report import render_comparison, render_summary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
-
-
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise ValueError(f"unknown workload kind {kind!r}")
 
 
 @dataclass
@@ -81,20 +71,13 @@ class FlightReport:
         return list(self.obs.alerts.alerts) if self.obs.alerts else []
 
 
-def _fly(controller: str, workload: str, weather: str, mean_w: float,
-         seed: int, initial_soc: float, dt: float,
-         duration_s: float | None, stride: int, policies=None):
-    trace = make_day_trace(weather, dt_seconds=dt, seed=seed,
-                           target_mean_w=mean_w)
+def _fly(spec: CellSpec, stride: int):
     obs = Observability(trace_stride=stride)
-    system = build_system(trace, _make_workload(workload),
-                          controller=controller, seed=seed,
-                          initial_soc=initial_soc, dt=dt, observability=obs,
-                          policies=policies)
+    system = spec.build(observability=obs)
     t0 = time.perf_counter()
-    summary = system.run(duration_s)
+    summary = system.run(spec.duration_s)
     wall_s = time.perf_counter() - t0
-    return summary, obs, system.engine.clock.step_index, wall_s
+    return system, summary, obs, wall_s
 
 
 def run_flight(
@@ -119,36 +102,26 @@ def run_flight(
     (if any) flies *without* overlays — it shows what the plain controller
     would have done on the identical trace.
     """
-    policies = None
+    spec = CellSpec(controller, workload, weather, mean_w, seed, initial_soc,
+                    dt, duration_s)
     if scenario is not None:
-        from repro.experiments.scenarios import (
-            build_policies,
-            get_scenario,
-            scenario_seed,
-        )
-
-        spec = get_scenario(scenario)
-        controller = spec.controller
-        workload = spec.workload
-        weather = spec.weather
-        seed = scenario_seed(scenario)
-        policies = build_policies(scenario, seed)
-    summary, obs, ticks, wall_s = _fly(controller, workload, weather, mean_w,
-                                       seed, initial_soc, dt, duration_s,
-                                       stride, policies=policies)
+        spec = replace(CellSpec.pinned(scenario_cell_name(scenario)),
+                       mean_w=mean_w, initial_soc=initial_soc, dt=dt,
+                       duration_s=duration_s)
+    system, summary, obs, wall_s = _fly(spec, stride)
     report = FlightReport(
-        controller=controller, workload=workload, weather=weather,
-        mean_w=mean_w, seed=seed, summary=summary, obs=obs,
-        ticks=ticks, wall_s=wall_s, scenario=scenario, policies=policies,
+        controller=spec.controller, workload=spec.workload,
+        weather=spec.weather, mean_w=mean_w, seed=spec.seed, summary=summary,
+        obs=obs, ticks=system.engine.clock.step_index, wall_s=wall_s,
+        scenario=scenario, policies=list(system.controller.policies),
     )
     if compare is not None:
-        if compare == controller and scenario is None:
+        if compare == spec.controller and scenario is None:
             raise ValueError(
                 f"--compare controller must differ from {controller!r}"
             )
-        cmp_summary, cmp_obs, _, _ = _fly(compare, workload, weather, mean_w,
-                                          seed, initial_soc, dt, duration_s,
-                                          stride)
+        plain = replace(spec, controller=compare, scenario=None, policies=())
+        _, cmp_summary, cmp_obs, _ = _fly(plain, stride)
         report.compare_controller = compare
         report.compare_summary = cmp_summary
         report.compare_obs = cmp_obs

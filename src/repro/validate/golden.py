@@ -29,29 +29,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.core.system import build_system
-from repro.experiments.runner import derive_seed, run_cells
-from repro.solar.traces import make_day_trace
+from repro.cell import (  # noqa: F401 - the pinned names, re-exported
+    BASE_SEED,
+    CONTROLLERS,
+    DT_SECONDS,
+    DURATION_S,
+    INITIAL_SOC,
+    TARGET_MEAN_W,
+    WEATHERS,
+    WORKLOADS,
+    CellSpec,
+    available_cell_ids,
+    cell_name,
+    scenario_cell_name,
+)
+from repro.cell import make_workload as _make_workload  # noqa: F401
+from repro.experiments.runner import derive_seed, run_cells  # noqa: F401
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
 
-#: The pinned experiment matrix.
-CONTROLLERS = ("insure", "baseline")
-WORKLOADS = ("video", "seismic")
-WEATHERS = ("sunny", "cloudy", "rainy")
-
-#: Fixed run configuration for every golden cell.
-BASE_SEED = 1
-TARGET_MEAN_W = 800.0
-INITIAL_SOC = 0.55
-DT_SECONDS = 5.0
-#: One full simulated day: 17 280 ticks at dt=5 (the solar trace covers
-#: the daylight window; the tail exercises night-time battery operation).
-DURATION_S = 24 * 3600.0
 #: Invariant-check stride used for golden runs.
 CHECK_STRIDE = 12
 #: Significant digits kept of each RunSummary scalar.  Far coarser than
@@ -61,14 +61,6 @@ SUMMARY_SIG_DIGITS = 6
 
 #: Default location of the stored records (repository checkout layout).
 DEFAULT_GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
-
-
-def cell_name(controller: str, workload: str, weather: str) -> str:
-    return f"{controller}-{workload}-{weather}"
-
-
-def scenario_cell_name(scenario: str) -> str:
-    return f"scenario-{scenario}"
 
 
 def matrix_cells() -> list[dict[str, str]]:
@@ -93,25 +85,16 @@ def all_cells() -> list[dict[str, str]]:
     return matrix_cells() + scenario_cells()
 
 
-def available_cell_ids() -> list[str]:
-    """Every pinned cell id, in the CLI/manifest grammar: matrix cells as
-    ``controller:workload:weather``, scenario cells as ``scenario-<name>``."""
-    from repro.experiments.scenarios import scenario_names
-
-    ids = [
-        f"{cell['controller']}:{cell['workload']}:{cell['weather']}"
-        for cell in matrix_cells()
-    ]
-    ids.extend(scenario_cell_name(name) for name in scenario_names())
-    return ids
-
-
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise ValueError(f"unknown workload kind {kind!r}")
+def cell_spec(
+    controller: str | None = None,
+    workload: str | None = None,
+    weather: str | None = None,
+    scenario: str | None = None,
+) -> CellSpec:
+    """The pinned spec of a matrix cell (three axes) or a scenario cell."""
+    if scenario is not None:
+        return CellSpec.pinned(scenario_cell_name(scenario))
+    return CellSpec.pinned(f"{controller}:{workload}:{weather}")
 
 
 def summary_fingerprint(summary: RunSummary) -> dict[str, Any]:
@@ -142,27 +125,14 @@ def _resolve_cell(
     weather: str | None,
     scenario: str | None,
 ):
-    """Resolve a matrix or scenario cell into (name, plant axes, seed,
-    policies, extra-config).  Scenario cells pull their plant axes from the
-    :data:`~repro.experiments.scenarios.SCENARIOS` spec, derive their seed
-    from the scenario name, and attach its policy overlays; matrix cells
-    are unchanged (no policies, no extra config keys — the 12 pre-existing
-    records stay byte-identical)."""
-    if scenario is None:
-        seed = derive_seed(BASE_SEED, controller, workload, weather)
-        return (cell_name(controller, workload, weather),
-                controller, workload, weather, seed, None, {})
-    from repro.experiments.scenarios import (
-        build_policies,
-        get_scenario,
-        scenario_seed,
-    )
-
-    spec = get_scenario(scenario)
-    seed = scenario_seed(scenario)
-    return (scenario_cell_name(scenario), spec.controller, spec.workload,
-            spec.weather, seed, build_policies(scenario, seed),
-            {"scenario": scenario})
+    """A pinned cell as (name, controller, workload, weather, seed,
+    policies, extra-config): the tuple form of :func:`cell_spec`, which
+    the repository benchmark (``perfbench/engine_day.py``) builds from."""
+    spec = cell_spec(controller, workload, weather, scenario)
+    policies = [p.build_policy(spec.seed) for p in spec.policies] or None
+    extra = {"scenario": scenario} if scenario is not None else {}
+    return (spec.record_name, spec.controller, spec.workload, spec.weather,
+            spec.seed, policies, extra)
 
 
 def compute_cell(
@@ -187,30 +157,13 @@ def compute_cell(
     :mod:`repro.experiments.scenarios`), whose record is pinned under
     ``scenario-<name>.json``.
     """
-    (name, controller, workload, weather, seed, policies,
-     extra_config) = _resolve_cell(controller, workload, weather, scenario)
-    trace = make_day_trace(weather, dt_seconds=DT_SECONDS, seed=seed,
-                           target_mean_w=TARGET_MEAN_W)
-    system = build_system(
-        trace, _make_workload(workload), controller=controller, seed=seed,
-        initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-        invariants=check_invariants, invariant_stride=stride,
-        policies=policies,
-    )
+    spec = replace(cell_spec(controller, workload, weather, scenario),
+                   duration_s=duration_s)
+    system = spec.build(invariants=check_invariants, invariant_stride=stride)
     summary = system.run(duration_s)
     record: dict[str, Any] = {
-        "cell": name,
-        "config": {
-            "controller": controller,
-            "workload": workload,
-            "weather": weather,
-            "seed": seed,
-            "target_mean_w": TARGET_MEAN_W,
-            "initial_soc": INITIAL_SOC,
-            "dt": DT_SECONDS,
-            "duration_s": duration_s,
-            **extra_config,
-        },
+        "cell": spec.record_name,
+        "config": spec.config(),
         "signals": trace_digests(system.recorder),
         "summary": summary_fingerprint(summary),
     }
@@ -241,23 +194,14 @@ def compute_ledger_cell(
     :func:`~repro.experiments.runner.run_cells` — whose rollup folds the
     ``ledger_edges`` / ``alert_counts`` keys into the global registry.
     """
-    from dataclasses import asdict
-
     from repro.obs.hub import Observability
 
-    (name, controller, workload, weather, seed, policies,
-     _extra) = _resolve_cell(controller, workload, weather, scenario)
-    trace = make_day_trace(weather, dt_seconds=DT_SECONDS, seed=seed,
-                           target_mean_w=TARGET_MEAN_W)
+    spec = cell_spec(controller, workload, weather, scenario)
     obs = Observability()
-    system = build_system(
-        trace, _make_workload(workload), controller=controller, seed=seed,
-        initial_soc=INITIAL_SOC, dt=DT_SECONDS, observability=obs,
-        policies=policies,
-    )
+    system = spec.build(observability=obs)
     summary = system.run(duration_s)
     return {
-        "cell": name,
+        "cell": spec.record_name,
         "signals": trace_digests(system.recorder),
         "summary_energy": {
             "solar_energy_kwh": summary.solar_energy_kwh,

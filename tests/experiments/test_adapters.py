@@ -47,13 +47,6 @@ class TestAdapterRegistry:
         with pytest.raises(FleetUnsupported, match="no fleet adapter"):
             adapters.run_cells_fleet(_double, [dict(x=1)])
 
-    def test_missing_numpy_raises_the_install_hint(self, monkeypatch):
-        import repro.sim.fleet as fleet_pkg
-
-        monkeypatch.setattr(fleet_pkg, "numpy_available", lambda: False)
-        with pytest.raises(ImportError, match="repro"):
-            adapters.run_cells_fleet(_double, [dict(x=1)])
-
 
 class TestBackendSelection:
     def test_backend_names_are_pinned(self):

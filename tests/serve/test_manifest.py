@@ -23,23 +23,23 @@ class TestCellForm:
     def test_matrix_cell_expands_pinned_config(self):
         m = parse_manifest({"cell": "insure:seismic:cloudy"})
         assert m.cell == "insure:seismic:cloudy"
-        assert (m.controller, m.workload, m.weather) == \
+        assert (m.spec.controller, m.spec.workload, m.spec.weather) == \
             ("insure", "seismic", "cloudy")
-        assert m.duration_s == DURATION_S
-        assert m.policies == ()
-        assert m.seed > 0  # derived, not the base seed verbatim
+        assert m.spec.duration_s == DURATION_S
+        assert m.spec.policies == ()
+        assert m.spec.seed > 0  # derived, not the base seed verbatim
 
     def test_scenario_cell_carries_policies(self):
         m = parse_manifest({"cell": "scenario-grid-hybrid"})
         assert m.cell == "scenario-grid-hybrid"
-        assert len(m.policies) >= 1
-        names = [p.name for p in m.policies]
+        assert len(m.spec.policies) >= 1
+        names = [p.name for p in m.spec.policies]
         assert len(names) == len(set(names))
 
     def test_pacing_overrides_allowed(self):
         m = parse_manifest({"cell": "insure:video:sunny",
                             "duration_s": 3600.0, "tick_slice": 60})
-        assert m.duration_s == 3600.0
+        assert m.spec.duration_s == 3600.0
         assert m.tick_slice == 60
 
     def test_plant_overrides_rejected(self):

@@ -4,16 +4,8 @@ import dataclasses
 
 import pytest
 
-import repro.sim.fleet as fleet_pkg
-from repro.sim.fleet import (
-    NUMPY_HINT,
-    FleetUnsupported,
-    SiteSpec,
-    numpy_available,
-    require_numpy,
-    simulate_fleet,
-)
-from repro.sim.fleet.validator import spec_for_cell
+from repro.cell import CellSpec
+from repro.sim.fleet import FleetUnsupported, SiteSpec, simulate_fleet
 
 np = pytest.importorskip("numpy")
 
@@ -60,21 +52,6 @@ class TestSiteSpec:
             simulate_fleet([_spec(battery_count=0)])
 
 
-class TestNumpyGate:
-    def test_available_in_this_environment(self):
-        assert numpy_available()
-        require_numpy()  # must not raise
-
-    def test_hint_names_the_extra_and_the_fallback(self):
-        assert "repro[fleet]" in NUMPY_HINT
-        assert "pool|serial" in NUMPY_HINT
-
-    def test_require_numpy_raises_the_hint(self, monkeypatch):
-        monkeypatch.setattr(fleet_pkg, "numpy_available", lambda: False)
-        with pytest.raises(ImportError, match="repro"):
-            fleet_pkg.require_numpy()
-
-
 class TestGrouping:
     def test_mixed_groups_return_in_input_order(self):
         # Two heterogeneous specs (different controllers) form two batch
@@ -98,7 +75,7 @@ class TestGrouping:
         # sensor-noise stream is seeded from its own spec seed.
         from repro.sim.fleet.kernel import _FleetBatch
 
-        spec = spec_for_cell("insure", "video", "sunny")
+        spec = CellSpec.pinned("insure:video:sunny").to_site()
         other = dataclasses.replace(spec, seed=spec.seed + 1)
         batch = _FleetBatch([spec, other])
         batch._refill_noise()  # blocks are lazily filled on tick 0
